@@ -10,9 +10,9 @@
 //! * mutation tests: corrupting a *real* clean trace — swapping two
 //!   deliveries on a link, deleting a send, forging a duplicate delivery —
 //!   is flagged with the matching rule label;
-//! * cross-backend agreement: the same seed/topology run on the simulator,
-//!   the thread-per-node runtime and the work-stealing pool all audit clean
-//!   and agree on the per-link message counts.
+//! * cross-backend agreement: the same seed/topology run on the simulator
+//!   and the work-stealing pool both audit clean and agree on the per-link
+//!   message counts.
 
 use mdst_analysis::{audit, audit_events, AuditReport, Rule};
 use mdst_core::{Pipeline, PipelineConfig};
@@ -285,11 +285,7 @@ fn all_backends_audit_clean_and_agree_on_per_link_counts() {
     for (n, p, seed) in [(14, 0.3, 1u64), (20, 0.25, 2), (9, 0.5, 3)] {
         let graph = Arc::new(generators::gnp_connected(n, p, seed).unwrap());
         let mut verdicts = Vec::new();
-        for executor in [
-            ExecutorKind::Sim,
-            ExecutorKind::Threaded,
-            ExecutorKind::Pool,
-        ] {
+        for executor in [ExecutorKind::Sim, ExecutorKind::Pool] {
             let report = Pipeline::on(&graph)
                 .config(traced_config(executor))
                 .run()

@@ -2,10 +2,7 @@
 //! graph. The flooding broadcast compares raw substrate throughput on the
 //! same deterministic message load (2m + n − 1 messages whatever the
 //! schedule); the MDegST improvement compares the simulator against the pool
-//! on the full protocol, the regime the pool was built for. Thread-per-node
-//! gets its own small group at n = 128: 1,000 OS threads is exactly the
-//! cost the pool exists to avoid, and on a small host the context-switch
-//! storm would dominate the whole suite (one data point says enough).
+//! on the full protocol, the regime the pool was built for.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mdst::core::distributed::MdstNode;
@@ -50,38 +47,6 @@ fn bench_flood_broadcast(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_thread_per_node_small(c: &mut Criterion) {
-    // One OS thread per node stops scaling long before the pool does; this
-    // group pins the comparison at a size every host can still schedule.
-    const SMALL: usize = 128;
-    let mut group = c.benchmark_group("e8_executor_flood_threaded_128");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(200));
-    group.measurement_time(std::time::Duration::from_millis(1500));
-    let graph = Arc::new(generators::random_connected(SMALL, SMALL / 2, 11).unwrap());
-    group.bench_with_input(BenchmarkId::new("threaded", SMALL), &SMALL, |b, _| {
-        b.iter(|| {
-            let run = ThreadedRuntime::run(&graph, |id, _| FloodingSt::new(id, NodeId(0)));
-            std::hint::black_box(run.metrics.messages_total)
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("pool8", SMALL), &SMALL, |b, _| {
-        b.iter(|| {
-            let run = PoolRuntime::run(
-                &graph,
-                |id, _| FloodingSt::new(id, NodeId(0)),
-                &PoolConfig {
-                    workers: 8,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            std::hint::black_box(run.metrics.messages_total)
-        })
-    });
-    group.finish();
-}
-
 fn bench_mdst_improvement(c: &mut Criterion) {
     let mut group = c.benchmark_group("e8_executor_mdst_1k");
     group.sample_size(10);
@@ -115,10 +80,5 @@ fn bench_mdst_improvement(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_flood_broadcast,
-    bench_thread_per_node_small,
-    bench_mdst_improvement
-);
+criterion_group!(benches, bench_flood_broadcast, bench_mdst_improvement);
 criterion_main!(benches);

@@ -4,7 +4,6 @@
 //! the harness binary, the tests and EXPERIMENTS.md all see the same numbers.
 
 use crate::table::Table;
-use mdst::core::distributed::MdstNode;
 use mdst::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
@@ -447,50 +446,6 @@ pub fn a3_improvement_policy() -> Table {
     table
 }
 
-/// A4 — the discrete-event simulator vs the threaded crossbeam runtime: same
-/// messages, different wall time.
-pub fn a4_runtime_comparison() -> Table {
-    let mut table = Table::new(
-        "A4: simulator vs threaded runtime (same protocol, same seeds)",
-        &[
-            "n",
-            "sim messages",
-            "thread messages",
-            "same tree",
-            "sim wall ms",
-            "thread wall ms",
-        ],
-    );
-    for &n in &[16usize, 32, 64] {
-        let graph = Arc::new(generators::gnp_connected(n, 0.12, 3).unwrap());
-        let initial = algorithms::greedy_high_degree_tree(&graph, NodeId(0)).unwrap();
-        let t0 = Instant::now();
-        let sim = run_distributed_mdst(&graph, &initial, SimConfig::default()).unwrap();
-        let sim_wall = t0.elapsed();
-        let nodes = MdstNode::from_tree(&initial);
-        let threaded = ThreadedRuntime::run(&graph, |id, _| nodes[id.index()].clone());
-        let thr_tree = collect_tree(&threaded.nodes).unwrap();
-        let same = thr_tree
-            .edges()
-            .map(|(u, v)| if u < v { (u, v) } else { (v, u) })
-            .collect::<std::collections::BTreeSet<_>>()
-            == sim
-                .final_tree
-                .edges()
-                .map(|(u, v)| if u < v { (u, v) } else { (v, u) })
-                .collect::<std::collections::BTreeSet<_>>();
-        table.add_row(vec![
-            n.to_string(),
-            sim.metrics.messages_total.to_string(),
-            threaded.metrics.messages_total.to_string(),
-            same.to_string(),
-            fmt_f(sim_wall.as_secs_f64() * 1e3),
-            fmt_f(threaded.wall_time.as_secs_f64() * 1e3),
-        ]);
-    }
-    table
-}
-
 /// F1 — Figure 1 as a table: the exchange performed on the figure's instance.
 pub fn f1_figure1() -> Table {
     let mut table = Table::new(
@@ -675,13 +630,11 @@ pub fn e9_graph_substrate() -> Table {
     table
 }
 
-/// E10 — the pool's batched message fabric against the legacy per-message
-/// send path, on the deterministic echo-flood workload at two scales. The
-/// flood's message count is schedule-independent (see [`crate::fabric`]),
-/// so both fabrics move exactly the same load and the throughput ratio
-/// isolates the send path: bucketed per-destination flushes with one
-/// relaxed in-flight bump per quantum versus one destination lock, one
-/// sequentially consistent RMW and one run-queue push per message.
+/// E10 — the throughput of the pool's batched message fabric on the
+/// deterministic echo-flood workload at two scales. The flood's message
+/// count is schedule-independent (see [`crate::fabric`]), so every run moves
+/// exactly the same load and the wall time isolates the send path: bucketed
+/// per-destination flushes with one relaxed in-flight bump per quantum.
 ///
 /// Besides the table, the experiment writes `BENCH_fabric.json` (machine
 /// readable, one record per measured run) to the working directory so CI can
@@ -690,41 +643,31 @@ pub fn e9_graph_substrate() -> Table {
 pub fn e10_message_fabric() -> Table {
     use crate::fabric;
     let mut table = Table::new(
-        "E10: batched message fabric vs legacy per-message sends (pool flood)",
-        &[
-            "workload", "fabric", "messages", "wall ms", "msgs/sec", "speedup",
-        ],
+        "E10: batched message fabric throughput (pool flood)",
+        &["workload", "messages", "wall ms", "msgs/sec"],
     );
     let reps = if fabric::smoke() { 2 } else { 3 };
     let mut records: Vec<serde::Value> = Vec::new();
     for n in fabric::e10_nodes() {
         let graph = fabric::workload(n);
-        let legacy = fabric::best_of(&graph, false, 0, reps);
-        let batched = fabric::best_of(&graph, true, 0, reps);
-        let speedup = legacy.wall.as_secs_f64() / batched.wall.as_secs_f64().max(1e-9);
-        for (name, sample, speedup) in [("legacy", &legacy, 1.0), ("batched", &batched, speedup)] {
-            let wall_ms = sample.wall.as_secs_f64() * 1e3;
-            table.add_row(vec![
-                format!("flood random_connected({n})"),
-                name.to_string(),
-                sample.messages.to_string(),
-                fmt_f(wall_ms),
-                fmt_f(sample.msgs_per_sec()),
-                fmt_f(speedup),
-            ]);
-            records.push(serde::Value::Object(vec![
-                ("n".into(), serde::Value::UInt(n as u64)),
-                ("m".into(), serde::Value::UInt(graph.edge_count() as u64)),
-                ("fabric".into(), serde::Value::String(name.to_string())),
-                ("messages".into(), serde::Value::UInt(sample.messages)),
-                ("wall_ms".into(), serde::Value::Float(wall_ms)),
-                (
-                    "msgs_per_sec".into(),
-                    serde::Value::Float(sample.msgs_per_sec()),
-                ),
-                ("speedup_vs_legacy".into(), serde::Value::Float(speedup)),
-            ]));
-        }
+        let sample = fabric::best_of(&graph, 0, reps);
+        let wall_ms = sample.wall.as_secs_f64() * 1e3;
+        table.add_row(vec![
+            format!("flood random_connected({n})"),
+            sample.messages.to_string(),
+            fmt_f(wall_ms),
+            fmt_f(sample.msgs_per_sec()),
+        ]);
+        records.push(serde::Value::Object(vec![
+            ("n".into(), serde::Value::UInt(n as u64)),
+            ("m".into(), serde::Value::UInt(graph.edge_count() as u64)),
+            ("messages".into(), serde::Value::UInt(sample.messages)),
+            ("wall_ms".into(), serde::Value::Float(wall_ms)),
+            (
+                "msgs_per_sec".into(),
+                serde::Value::Float(sample.msgs_per_sec()),
+            ),
+        ]));
     }
     let doc = serde::Value::Object(vec![
         (
@@ -875,7 +818,6 @@ pub fn all_experiments() -> Vec<(&'static str, ExperimentFn)> {
         ("a1", a1_algorithm_comparison),
         ("a2", a2_delay_sensitivity),
         ("a3", a3_improvement_policy),
-        ("a4", a4_runtime_comparison),
     ]
 }
 
@@ -905,7 +847,7 @@ mod tests {
     #[test]
     fn experiment_registry_is_complete_and_unique() {
         let all = all_experiments();
-        assert_eq!(all.len(), 16);
+        assert_eq!(all.len(), 15);
         let ids: std::collections::BTreeSet<&str> = all.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids.len(), all.len());
     }

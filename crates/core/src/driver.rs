@@ -5,9 +5,9 @@
 //! improvement protocol runs on the resulting tree. The construction always
 //! executes on the discrete-event simulator (its metrics are the paper's
 //! construction-cost tables); the improvement phase runs on whichever
-//! [`ExecutorKind`] backend the session selects — the simulator, the
-//! thread-per-node runtime or the work-stealing pool — through the uniform
-//! `mdst_netsim::exec::Executor` surface.
+//! [`ExecutorKind`] backend the session selects — the simulator or the
+//! work-stealing pool — through the uniform `mdst_netsim::exec::Executor`
+//! surface.
 //!
 //! ## One session API
 //!
@@ -28,11 +28,6 @@
 //! assert_eq!(report.outcome, Outcome::Optimal);
 //! assert!(report.final_degree <= 3);
 //! ```
-//!
-//! The pre-redesign entry points (`run_pipeline`, `run_pipeline_with_faults`
-//! and their twin report structs) survive as thin `#[deprecated]` wrappers
-//! with bit-identical results, proven by the `api_equivalence` property
-//! tests.
 
 use crate::distributed::MdstNode;
 use crate::observer::{ConstructionEvent, ExchangeEvent, FaultEvent, Observer, RoundEvent};
@@ -111,26 +106,6 @@ impl From<GraphError> for PipelineError {
 impl From<SimError> for PipelineError {
     fn from(e: SimError) -> Self {
         PipelineError::Exec(e)
-    }
-}
-
-impl PipelineError {
-    /// The [`GraphError`] the pre-redesign API reported for this failure.
-    /// Used by the deprecated wrappers to stay bit-identical with their
-    /// historical behaviour (executor errors were stringly mapped onto
-    /// `GraphError::InvalidParameter`, protocol misbehaviour onto
-    /// `GraphError::NotASpanningTree`).
-    pub fn into_graph_error(self) -> GraphError {
-        match self {
-            PipelineError::Graph(e) => e,
-            PipelineError::Exec(e) => GraphError::InvalidParameter(e.to_string()),
-            // The protocol-misbehaviour variants keep their historical
-            // NotASpanningTree spelling; the message is the single copy in
-            // the Display impl above.
-            err @ (PipelineError::EventLimit { .. }
-            | PipelineError::Unterminated
-            | PipelineError::PartialSnapshot) => GraphError::NotASpanningTree(err.to_string()),
-        }
     }
 }
 
@@ -272,8 +247,7 @@ impl PipelineConfig {
 
 /// The unified report of one pipeline session, whatever happened during it.
 ///
-/// Replaces the pre-redesign `PipelineReport` / `FaultPipelineReport` pair:
-/// a fault-free optimal run, a degraded faulty run and an event-limit abort
+/// A fault-free optimal run, a degraded faulty run and an event-limit abort
 /// all come back through this one shape, distinguished by [`Outcome`]. The
 /// survivor grading is always computed (for fault-free runs it degenerates
 /// to the whole graph), so consumers never branch on which of two report
@@ -327,14 +301,14 @@ pub struct RunReport {
     /// Wall-clock milliseconds of the improvement execution, as reported by
     /// the backend that ran it.
     pub wall_ms: f64,
-    /// OS threads the backend used: 1 for the simulator, `n` for the
-    /// thread-per-node runtime, the pool size for the pool.
+    /// OS threads the backend used: 1 for the simulator, the pool size for
+    /// the pool.
     pub workers: usize,
     /// Which backend executed the improvement.
     pub executor: ExecutorKind,
     /// Message trace of the improvement phase, recorded by every backend
     /// when `sim.record_trace` is set (the simulator stamps simulated time;
-    /// the threaded and pool runtimes stamp an atomic global order) and the
+    /// the pool stamps an atomic global order) and the
     /// disabled (empty) recorder otherwise. Feed it to the `mdst-analysis`
     /// happens-before auditor to check causal delivery and FIFO order.
     pub trace: mdst_netsim::TraceRecorder,
@@ -765,199 +739,6 @@ pub fn run_distributed_mdst_on(
     })
 }
 
-/// Enforces the strict contract of the improvement-only entry points: the
-/// run must have quiesced, terminated everywhere and produced a validated
-/// spanning tree.
-fn strict_tree(
-    mut report: RunReport,
-    max_events: u64,
-) -> Result<(RunReport, RootedTree), PipelineError> {
-    if report.outcome == Outcome::EventLimitAborted {
-        return Err(PipelineError::EventLimit { max_events });
-    }
-    if !report.all_terminated {
-        return Err(PipelineError::Unterminated);
-    }
-    match report.final_tree.take() {
-        Some(tree) => Ok((report, tree)),
-        None => Err(PipelineError::PartialSnapshot),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated pre-redesign surface. Everything below is a thin wrapper over
-// `Pipeline` kept for source compatibility; results are bit-identical to the
-// historical implementations (proven by the `api_equivalence` proptest). The
-// inner module lets the wrappers reference each other without tripping the
-// deprecation lint the rest of the workspace builds with.
-// ---------------------------------------------------------------------------
-
-mod compat {
-    #![allow(deprecated)]
-
-    use super::*;
-
-    /// Everything an experiment needs to report about one **strict**
-    /// pipeline run (the historical fault-free report shape).
-    #[deprecated(note = "use `Pipeline::on(..).run()` and the unified `RunReport`")]
-    #[derive(Debug, Clone, Serialize)]
-    pub struct PipelineReport {
-        /// Number of nodes of the input graph.
-        pub n: usize,
-        /// Number of edges of the input graph.
-        pub m: usize,
-        /// The initial spanning tree handed to the improvement protocol.
-        pub initial_tree: RootedTree,
-        /// Maximum degree `k` of the initial tree.
-        pub initial_degree: usize,
-        /// The improved tree.
-        pub final_tree: RootedTree,
-        /// Maximum degree `k*` of the improved tree.
-        pub final_degree: usize,
-        /// Metrics of the initial construction (`None` for centralized seeds).
-        pub construction_metrics: Option<Metrics>,
-        /// Metrics of the improvement protocol.
-        pub improvement_metrics: Metrics,
-        /// Rounds executed by the improvement protocol.
-        pub rounds: u32,
-        /// Edge exchanges performed.
-        pub improvements: u32,
-        /// Wall-clock milliseconds of the improvement execution.
-        pub wall_ms: f64,
-        /// Which backend executed the improvement.
-        pub executor: ExecutorKind,
-    }
-
-    impl PipelineReport {
-        /// `k − k*`: the quantity the paper's complexity bounds use.
-        pub fn degree_drop(&self) -> usize {
-            self.initial_degree.saturating_sub(self.final_degree)
-        }
-
-        /// The paper's message budget for this run, `(k − k* + 1) · m`.
-        pub fn paper_message_budget(&self) -> u64 {
-            (self.degree_drop() as u64 + 1) * self.m as u64
-        }
-
-        /// The paper's time budget for this run, `(k − k* + 1) · n`.
-        pub fn paper_time_budget(&self) -> u64 {
-            (self.degree_drop() as u64 + 1) * self.n as u64
-        }
-    }
-
-    /// How a fault-tolerant run ended (historical two-state taxonomy).
-    #[deprecated(note = "use the unified `Outcome` (RunReport::outcome)")]
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-    pub enum RunStatus {
-        /// The event queue drained: the network went quiescent.
-        Quiesced,
-        /// The event cap was hit first (livelock guard).
-        EventLimitExceeded,
-    }
-
-    /// Report of one pipeline run executed under a fault plan (historical
-    /// fault-tolerant report shape).
-    #[deprecated(note = "use `Pipeline::on(..).run()` and the unified `RunReport`")]
-    #[derive(Debug, Clone)]
-    pub struct FaultPipelineReport {
-        /// Number of nodes of the input graph.
-        pub n: usize,
-        /// Number of edges of the input graph.
-        pub m: usize,
-        /// Maximum degree `k` of the (fault-free) initial tree.
-        pub initial_degree: usize,
-        /// How the improvement run ended.
-        pub status: RunStatus,
-        /// Whether every non-crashed node reported local termination.
-        pub all_live_terminated: bool,
-        /// The snapshot graded on the survivor component.
-        pub survivor: SurvivorReport,
-        /// Whether the run produced a correct tree on the survivor component.
-        pub correct_tree: bool,
-        /// Metrics of the initial construction (`None` for centralized seeds).
-        pub construction_metrics: Option<Metrics>,
-        /// Metrics of the improvement protocol.
-        pub improvement_metrics: Metrics,
-        /// Improvement rounds observed across all nodes.
-        pub rounds: u32,
-        /// Edge exchanges performed.
-        pub improvements: u32,
-        /// Wall-clock milliseconds of the improvement execution.
-        pub wall_ms: f64,
-        /// Which backend executed the improvement.
-        pub executor: ExecutorKind,
-    }
-
-    /// Runs the full pipeline (construction + improvement) strictly and
-    /// assembles the historical experiment report.
-    #[deprecated(note = "use `Pipeline::on(graph).config(config.clone()).run()`")]
-    pub fn run_pipeline(
-        graph: &Arc<Graph>,
-        config: &PipelineConfig,
-    ) -> Result<PipelineReport, GraphError> {
-        let report = Pipeline::on(graph)
-            .config(config.clone())
-            .run()
-            .map_err(PipelineError::into_graph_error)?;
-        let (report, final_tree) =
-            strict_tree(report, config.sim.max_events).map_err(PipelineError::into_graph_error)?;
-        Ok(PipelineReport {
-            n: report.n,
-            m: report.m,
-            initial_degree: report.initial_degree,
-            final_degree: final_tree.max_degree(),
-            initial_tree: report.initial_tree,
-            final_tree,
-            construction_metrics: report.construction_metrics,
-            improvement_metrics: report.improvement_metrics,
-            rounds: report.rounds,
-            improvements: report.improvements,
-            wall_ms: report.wall_ms,
-            executor: report.executor,
-        })
-    }
-
-    /// Runs the full pipeline under the fault plan of `config.sim.faults`,
-    /// reporting degraded runs as results in the historical report shape.
-    #[deprecated(note = "use `Pipeline::on(graph).config(config.clone()).run()`")]
-    pub fn run_pipeline_with_faults(
-        graph: &Arc<Graph>,
-        config: &PipelineConfig,
-    ) -> Result<FaultPipelineReport, GraphError> {
-        let report = Pipeline::on(graph)
-            .config(config.clone())
-            .run()
-            .map_err(PipelineError::into_graph_error)?;
-        let status = match report.outcome {
-            // The historical shape predates cancellation; the deprecated
-            // wrappers never install a token, so `Aborted` is unreachable
-            // here and folds into the only non-quiescent status available.
-            Outcome::EventLimitAborted | Outcome::Aborted => RunStatus::EventLimitExceeded,
-            Outcome::Optimal | Outcome::PartialTree => RunStatus::Quiesced,
-        };
-        Ok(FaultPipelineReport {
-            n: report.n,
-            m: report.m,
-            initial_degree: report.initial_degree,
-            status,
-            all_live_terminated: report.all_live_terminated,
-            survivor: report.survivor,
-            correct_tree: report.outcome.is_optimal(),
-            construction_metrics: report.construction_metrics,
-            improvement_metrics: report.improvement_metrics,
-            rounds: report.rounds,
-            improvements: report.improvements,
-            wall_ms: report.wall_ms,
-            executor: report.executor,
-        })
-    }
-}
-
-#[allow(deprecated)]
-pub use compat::{
-    run_pipeline, run_pipeline_with_faults, FaultPipelineReport, PipelineReport, RunStatus,
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1083,24 +864,22 @@ mod tests {
     #[test]
     fn concurrent_backends_reject_fault_plans_loudly() {
         let g = Arc::new(generators::path(6).unwrap());
-        for executor in [ExecutorKind::Threaded, ExecutorKind::Pool] {
-            let err = Pipeline::on(&g)
-                .executor(executor)
-                .faults(FaultPlan {
-                    loss: 0.2,
-                    ..Default::default()
-                })
-                .run()
-                .unwrap_err();
-            assert!(
-                matches!(err, PipelineError::Exec(SimError::InvalidConfig(_))),
-                "{executor}: expected a typed executor rejection, got {err:?}"
-            );
-            assert!(
-                err.to_string().contains("sim"),
-                "{executor}: the error must point at the sim backend, got {err}"
-            );
-        }
+        let err = Pipeline::on(&g)
+            .executor(ExecutorKind::Pool)
+            .faults(FaultPlan {
+                loss: 0.2,
+                ..Default::default()
+            })
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(err, PipelineError::Exec(SimError::InvalidConfig(_))),
+            "expected a typed executor rejection, got {err:?}"
+        );
+        assert!(
+            err.to_string().contains("sim"),
+            "the error must point at the sim backend, got {err}"
+        );
     }
 
     #[test]
@@ -1343,83 +1122,5 @@ mod tests {
         assert_eq!(report.initial_tree, initial);
         assert!(report.construction_metrics.is_none());
         assert!(report.final_degree <= initial.max_degree());
-    }
-
-    // ---- deprecated wrapper equivalence (spot checks; the exhaustive
-    // ---- property test lives in tests/api_equivalence.rs) ----
-
-    #[test]
-    #[allow(deprecated)]
-    fn benign_fault_wrapper_matches_the_strict_wrapper() {
-        let g = Arc::new(generators::gnp_connected(18, 0.25, 3).unwrap());
-        let config = PipelineConfig::default();
-        let strict = run_pipeline(&g, &config).unwrap();
-        let faulty = run_pipeline_with_faults(&g, &config).unwrap();
-        assert_eq!(faulty.status, RunStatus::Quiesced);
-        assert!(faulty.all_live_terminated);
-        assert!(faulty.correct_tree);
-        assert_eq!(faulty.survivor.live_nodes, g.node_count());
-        assert_eq!(faulty.survivor.component_size(), g.node_count());
-        assert_eq!(faulty.survivor.max_degree, strict.final_degree);
-        assert_eq!(faulty.initial_degree, strict.initial_degree);
-        assert_eq!(faulty.improvement_metrics, strict.improvement_metrics);
-        assert_eq!(faulty.rounds, strict.rounds);
-        assert_eq!(faulty.improvements, strict.improvements);
-        assert_eq!(faulty.improvement_metrics.dropped_messages, 0);
-        assert_eq!(faulty.improvement_metrics.crashed_nodes, 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn fault_wrapper_runs_on_every_backend_under_benign_plans() {
-        let g = Arc::new(generators::gnp_connected(16, 0.3, 2).unwrap());
-        for executor in ExecutorKind::all() {
-            let config = PipelineConfig {
-                executor,
-                ..Default::default()
-            };
-            let report = run_pipeline_with_faults(&g, &config).unwrap();
-            assert_eq!(report.status, RunStatus::Quiesced, "{executor}");
-            assert!(report.correct_tree, "{executor}");
-            assert_eq!(report.executor, executor);
-            assert_eq!(report.survivor.component_size(), 16, "{executor}");
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn strict_wrapper_reports_historical_error_strings() {
-        let g = Arc::new(generators::complete(10).unwrap());
-        let config = PipelineConfig {
-            sim: SimConfig {
-                max_events: 3,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let err = run_pipeline(&g, &config).unwrap_err();
-        assert_eq!(
-            err,
-            GraphError::NotASpanningTree(
-                "protocol did not quiesce: event limit of 3 exceeded".to_string()
-            )
-        );
-        // Executor rejections keep the historical stringly mapping. (Traces
-        // are recorded on every backend nowadays, so the rejection probe is a
-        // simulated delay model, which the pool genuinely cannot honour.)
-        let config = PipelineConfig {
-            executor: ExecutorKind::Pool,
-            sim: SimConfig {
-                delay: mdst_netsim::DelayModel::UniformRandom {
-                    min: 1,
-                    max: 4,
-                    seed: 7,
-                },
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let err = run_pipeline(&g, &config).unwrap_err();
-        assert!(matches!(err, GraphError::InvalidParameter(_)), "{err:?}");
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! * [`distributed`] — the message-driven node automaton implementing the
 //!   paper's rounds (SearchDegree, MoveRoot, Cut, BFS, BFSBack, Choose,
-//!   Update/Child, Stop), runnable on the `mdst-netsim` simulator or threaded
-//!   runtime.
+//!   Update/Child, Stop), runnable on every `mdst-netsim` executor (the
+//!   discrete-event simulator or the work-stealing pool).
 //! * [`driver`] — the experiment pipeline behind the unified [`Pipeline`]
 //!   session builder: build an initial spanning tree (any `mdst-spanning`
 //!   construction), run the distributed improvement on any executor backend,
@@ -37,10 +37,6 @@ pub use distributed::{Candidate, MdstMsg, MdstNode};
 pub use driver::{
     run_distributed_mdst, run_distributed_mdst_on, MdstRun, Outcome, Pipeline, PipelineConfig,
     PipelineError, RunReport,
-};
-#[allow(deprecated)]
-pub use driver::{
-    run_pipeline, run_pipeline_with_faults, FaultPipelineReport, PipelineReport, RunStatus,
 };
 pub use observer::{
     ChannelObserver, ConstructionEvent, CountingObserver, ExchangeEvent, FaultEvent, FinishSummary,

@@ -49,7 +49,7 @@
 //! let report = Pipeline::on(&graph)
 //!     .initial(InitialTreeKind::Bfs)        // which construction seeds the run
 //!     .root(NodeId(0))                      // construction initiator
-//!     .executor(ExecutorKind::Pool)         // sim | threaded | pool
+//!     .executor(ExecutorKind::Pool)         // sim | pool
 //!     .workers(4)                           // pool width (0 = auto)
 //!     .run()
 //!     .unwrap();
@@ -71,34 +71,20 @@
 //! assert_eq!(counts.finishes, 1);
 //! ```
 //!
-//! ## Migrating from the pre-session API
+//! ## Improvement-only entry points
 //!
-//! The forked entry points survive as `#[deprecated]` wrappers with
-//! bit-identical results (proven by the `api_equivalence` property test):
-//!
-//! | old call | new chain |
-//! |---|---|
-//! | `run_pipeline(&g, &config)?` | `Pipeline::on(&g).config(config.clone()).run()?` (check `report.outcome`) |
-//! | `run_pipeline_with_faults(&g, &config)?` | same chain — faults are just another outcome |
-//! | `PipelineReport { final_tree, .. }` | `RunReport { final_tree: Option<_>, .. }` / `report.tree()` |
-//! | `FaultPipelineReport { status, correct_tree, survivor, .. }` | `RunReport { outcome, survivor, .. }` |
-//! | `RunStatus::Quiesced` + `correct_tree` | `Outcome::Optimal` |
-//! | `RunStatus::Quiesced` + `!correct_tree` | `Outcome::PartialTree` |
-//! | `RunStatus::EventLimitExceeded` | `Outcome::EventLimitAborted` |
-//! | `GraphError::InvalidParameter(stringly)` | typed `PipelineError::{Graph, Exec}` |
-//!
-//! The improvement-only entry points `run_distributed_mdst(_on)` remain for
-//! benches that construct initial trees explicitly; they now return the
-//! typed [`PipelineError`](mdst_core::PipelineError) but deliberately skip
-//! the session extras (survivor grading, observer replay), so measured
-//! loops pay exactly the protocol's cost.
+//! `run_distributed_mdst(_on)` serve benches that construct initial trees
+//! explicitly; they return the typed
+//! [`PipelineError`](mdst_core::PipelineError) but deliberately skip the
+//! session extras (survivor grading, observer replay), so measured loops pay
+//! exactly the protocol's cost.
 //!
 //! ## Crate map
 //!
 //! | Crate | Contents |
 //! |---|---|
 //! | [`mdst_graph`] | graphs, rooted trees, generators, classic algorithms |
-//! | [`mdst_netsim`] | asynchronous message-passing executors: discrete-event simulator, thread-per-node runtime, work-stealing pool |
+//! | [`mdst_netsim`] | asynchronous message-passing executors: discrete-event simulator, work-stealing pool |
 //! | [`mdst_spanning`] | distributed spanning-tree constructions (the startup step) |
 //! | [`mdst_core`] | the distributed MDegST protocol, the `Pipeline` session API, baselines, bounds, verification |
 //! | [`mdst_check`] | exhaustive small-state model checker: every schedule on every ≤6-node topology, minimized counterexamples |
@@ -130,10 +116,6 @@ pub mod prelude {
         run_distributed_mdst, run_distributed_mdst_on, MdstRun, Outcome, Pipeline, PipelineConfig,
         PipelineError, RunReport,
     };
-    #[allow(deprecated)]
-    pub use mdst_core::driver::{
-        run_pipeline, run_pipeline_with_faults, FaultPipelineReport, PipelineReport, RunStatus,
-    };
     pub use mdst_core::observer::{
         ConstructionEvent, CountingObserver, ExchangeEvent, FaultEvent, Observer, RoundEvent,
     };
@@ -150,7 +132,7 @@ pub mod prelude {
         Context, ControlledEvent, ControlledNet, CrashAt, CutAt, DelayModel, ExecConfig, ExecRun,
         ExecStatus, Executor, ExecutorKind, FaultPlan, Metrics, NetMessage, PoolConfig, PoolRun,
         PoolRuntime, Protocol, SimConfig, SimError, Simulator, StartDiscipline, StartModel,
-        ThreadedRun, ThreadedRuntime, UnknownExecutor,
+        UnknownExecutor,
     };
     pub use mdst_scenario::{
         diff_reports, diff_reports_with, run_campaign, CampaignReport, DiffOptions, FaultSpec,
@@ -173,15 +155,5 @@ mod tests {
         assert_eq!(report.outcome, Outcome::Optimal);
         assert!(report.final_degree <= 3);
         assert!(verify_termination_certificate(&graph, report.tree()));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn prelude_keeps_the_deprecated_wrappers_callable() {
-        let graph = Arc::new(generators::complete(8).unwrap());
-        let old = run_pipeline(&graph, &PipelineConfig::default()).unwrap();
-        let new = Pipeline::on(&graph).run().unwrap();
-        assert_eq!(old.final_degree, new.final_degree);
-        assert_eq!(old.improvement_metrics, new.improvement_metrics);
     }
 }

@@ -1,16 +1,15 @@
 //! The [`Executor`] abstraction: one uniform way to run a [`Protocol`] on a
 //! graph, regardless of which runtime drives it.
 //!
-//! The crate grew three interchangeable executions of the paper's §2 network
+//! The crate has two interchangeable executions of the paper's §2 network
 //! model, each with a different fidelity/throughput trade-off:
 //!
 //! | backend | scheduling | faults/delays | traces | scale |
 //! |---|---|---|---|---|
 //! | [`SimExecutor`] (discrete-event [`crate::sim::Simulator`]) | deterministic | full (`DelayModel`, `FaultPlan`) | yes (simulated clock) | ~10³ nodes comfortably |
-//! | [`ThreadedExecutor`] ([`crate::threaded::ThreadedRuntime`]) | real OS threads, one per node | none (the OS *is* the adversary) | yes (atomic global stamp) | ~10² nodes (thread-per-node) |
-//! | [`PoolExecutor`] ([`crate::pool::PoolRuntime`]) | work-stealing worker pool, batched message fabric | none | yes (atomic global stamp) | ~10⁵ nodes on a fixed pool |
+//! | [`PoolExecutor`] ([`crate::pool::PoolRuntime`]) | work-stealing worker pool, batched message fabric; real OS nondeterminism with `workers ≥ 2` | none (the OS *is* the adversary) | yes (atomic global stamp) | ~10⁵ nodes on a fixed pool |
 //!
-//! All three take the same inputs — a graph, a per-node protocol factory and
+//! Both take the same inputs — a graph, a per-node protocol factory and
 //! an [`ExecConfig`] — and produce the same [`ExecRun`]: final node states,
 //! aggregated [`Metrics`], an optional trace, the wall-clock duration and a
 //! quiescence [`ExecStatus`]. Code written against the trait (the
@@ -19,10 +18,10 @@
 //! [`ExecutorKind`].
 //!
 //! Backends refuse configuration they cannot honor instead of silently
-//! ignoring it: asking the threaded or pool backend for simulated delays or
+//! ignoring it: asking the pool backend for simulated delays or
 //! fault injection is an [`SimError::InvalidConfig`], not a lie in the
 //! report. `record_trace`, on the other hand, is honored by every backend:
-//! the concurrent runtimes keep lock-free per-worker event buffers stamped
+//! the pool keeps lock-free per-worker event buffers stamped
 //! from one atomic counter and merge them at quiescence, so the
 //! `mdst-analysis` happens-before auditor can check per-link FIFO and causal
 //! delivery on the backends a model checker cannot reach.
@@ -32,48 +31,40 @@ use crate::delay::DelayModel;
 use crate::metrics::Metrics;
 use crate::pool::{PoolConfig, PoolRuntime};
 use crate::protocol::Protocol;
-use crate::sim::{SimConfig, SimError, Simulator, StartModel};
-use crate::threaded::ThreadedRuntime;
+use crate::sim::{SimConfig, SimError, Simulator};
 use crate::trace::TraceRecorder;
 use mdst_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which backend executes a run. The string forms (`"sim"`, `"threaded"`,
-/// `"pool"`) are the spellings used by scenario specs and reports.
+/// Which backend executes a run. The string forms (`"sim"`, `"pool"`) are
+/// the spellings used by scenario specs and reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum ExecutorKind {
     /// The deterministic discrete-event simulator (full delay/fault support).
     #[default]
     Sim,
-    /// One OS thread per node over FIFO channels (real nondeterminism).
-    Threaded,
     /// A fixed work-stealing worker pool multiplexing all nodes.
     Pool,
 }
 
 impl ExecutorKind {
     /// Every backend, in report order.
-    pub fn all() -> [ExecutorKind; 3] {
-        [
-            ExecutorKind::Sim,
-            ExecutorKind::Threaded,
-            ExecutorKind::Pool,
-        ]
+    pub fn all() -> [ExecutorKind; 2] {
+        [ExecutorKind::Sim, ExecutorKind::Pool]
     }
 
     /// Stable lower-case label used in specs, reports and CSV columns.
     pub fn label(self) -> &'static str {
         match self {
             ExecutorKind::Sim => "sim",
-            ExecutorKind::Threaded => "threaded",
             ExecutorKind::Pool => "pool",
         }
     }
 
     /// Parses a spec spelling. Accepts the labels plus a few aliases
-    /// (`"simulator"`, `"threads"`, `"work_stealing"`). Shorthand for the
+    /// (`"simulator"`, `"work_stealing"`). Shorthand for the
     /// [`std::str::FromStr`] implementation with the error stringified.
     pub fn parse(name: &str) -> Result<ExecutorKind, String> {
         name.parse().map_err(|e: UnknownExecutor| e.to_string())
@@ -111,9 +102,6 @@ impl ExecutorKind {
     {
         match self {
             ExecutorKind::Sim => SimExecutor.run_with_cancel(graph, factory, config, cancel),
-            ExecutorKind::Threaded => {
-                ThreadedExecutor.run_with_cancel(graph, factory, config, cancel)
-            }
             ExecutorKind::Pool => PoolExecutor.run_with_cancel(graph, factory, config, cancel),
         }
     }
@@ -133,11 +121,7 @@ pub struct UnknownExecutor(pub String);
 
 impl std::fmt::Display for UnknownExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown executor `{}` (known: sim, threaded, pool)",
-            self.0
-        )
+        write!(f, "unknown executor `{}` (known: sim, pool)", self.0)
     }
 }
 
@@ -149,7 +133,6 @@ impl std::str::FromStr for ExecutorKind {
     fn from_str(name: &str) -> Result<Self, Self::Err> {
         match name.to_ascii_lowercase().replace('-', "_").as_str() {
             "sim" | "simulator" | "discrete_event" => Ok(ExecutorKind::Sim),
-            "threaded" | "threads" | "thread_per_node" => Ok(ExecutorKind::Threaded),
             "pool" | "work_stealing" | "worker_pool" => Ok(ExecutorKind::Pool),
             other => Err(UnknownExecutor(other.to_string())),
         }
@@ -166,14 +149,13 @@ pub struct ExecConfig {
     /// backend honors which field.
     pub sim: SimConfig,
     /// Worker threads for the pool backend (`0` = one per available CPU,
-    /// capped at 64). Ignored by the simulator (single-threaded) and the
-    /// threaded runtime (structurally one thread per node).
+    /// capped at 64). Ignored by the simulator (single-threaded).
     pub workers: usize,
     /// Mailbox messages the pool backend drains per scheduling quantum
     /// (`0` = the default, [`PoolRuntime::DEFAULT_BATCH`]). Larger batches
     /// amortise per-quantum locking; smaller batches interleave nodes more
-    /// fairly. Ignored by the simulator and the threaded runtime; swept as
-    /// the `batch` axis in `mdst-scenario` campaigns.
+    /// fairly. Ignored by the simulator; swept as the `batch` axis in
+    /// `mdst-scenario` campaigns.
     pub batch: usize,
 }
 
@@ -216,16 +198,16 @@ pub struct ExecRun<P> {
     pub metrics: Metrics,
     /// Recorded trace (only when `record_trace` is set; the disabled
     /// recorder otherwise). The simulator stamps events with the simulated
-    /// clock; the threaded and pool backends stamp with an atomic global
-    /// counter, so every backend's trace is totally ordered and auditable.
+    /// clock; the pool stamps with an atomic global counter, so every
+    /// backend's trace is totally ordered and auditable.
     pub trace: TraceRecorder,
     /// Whether the run quiesced or hit the event cap.
     pub status: ExecStatus,
     /// Crash flags per node (all `false` outside the simulator, which is the
     /// only backend that injects crashes).
     pub crashed: Vec<bool>,
-    /// OS threads the backend used: 1 for the simulator, `n` for the
-    /// thread-per-node runtime, the pool size for the pool.
+    /// OS threads the backend used: 1 for the simulator, the pool size for
+    /// the pool.
     pub workers: usize,
     /// Wall-clock duration of the execution proper (excluding protocol
     /// construction).
@@ -331,94 +313,25 @@ impl Executor for SimExecutor {
     }
 }
 
-/// Checks the parts of an [`ExecConfig`] that only the simulator can honor,
-/// shared by the threaded and pool backends. `selected_ok` is whether the
-/// backend supports [`StartModel::Selected`] (the pool does; the
-/// thread-per-node runtime wakes everyone by construction).
-fn validate_concurrent_config(
-    graph: &Graph,
-    config: &ExecConfig,
-    kind: ExecutorKind,
-    selected_ok: bool,
-) -> Result<(), SimError> {
-    let label = kind.label();
+/// Rejects the parts of an [`ExecConfig`] that only the simulator can honor:
+/// simulated delays and fault injection. Start models are checked by
+/// [`PoolRuntime::run_with_cancel`] itself.
+fn validate_pool_config(config: &ExecConfig) -> Result<(), SimError> {
     if !matches!(config.sim.delay, DelayModel::Unit) {
-        return Err(SimError::InvalidConfig(format!(
-            "the `{label}` executor schedules deliveries on real threads and \
+        return Err(SimError::InvalidConfig(
+            "the `pool` executor schedules deliveries on real threads and \
              cannot honor a simulated delay model; use executor = \"sim\""
-        )));
+                .to_string(),
+        ));
     }
     if !config.sim.faults.is_benign() {
-        return Err(SimError::InvalidConfig(format!(
-            "the `{label}` executor cannot inject faults (loss, crashes, \
+        return Err(SimError::InvalidConfig(
+            "the `pool` executor cannot inject faults (loss, crashes, \
              cuts need the simulated clock); use executor = \"sim\""
-        )));
+                .to_string(),
+        ));
     }
-    match &config.sim.start {
-        StartModel::Simultaneous => Ok(()),
-        StartModel::Selected(list) if selected_ok => {
-            if list.is_empty() {
-                return Err(SimError::InvalidConfig(
-                    "StartModel::Selected with an empty list: no node would ever wake up"
-                        .to_string(),
-                ));
-            }
-            let n = graph.node_count();
-            for &node in list {
-                if node.index() >= n {
-                    return Err(SimError::InvalidConfig(format!(
-                        "StartModel::Selected references node {node} but the graph has {n} nodes"
-                    )));
-                }
-            }
-            Ok(())
-        }
-        other => Err(SimError::InvalidConfig(format!(
-            "the `{label}` executor cannot honor the start model {other:?} \
-             (no simulated clock); use executor = \"sim\""
-        ))),
-    }
-}
-
-/// The thread-per-node runtime behind the [`Executor`] surface.
-pub struct ThreadedExecutor;
-
-impl Executor for ThreadedExecutor {
-    fn kind(&self) -> ExecutorKind {
-        ExecutorKind::Threaded
-    }
-
-    fn run_with_cancel<P, F>(
-        &self,
-        graph: &Arc<Graph>,
-        factory: F,
-        config: &ExecConfig,
-        cancel: &CancelToken,
-    ) -> Result<ExecRun<P>, SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &[NodeId]) -> P,
-    {
-        validate_concurrent_config(graph, config, self.kind(), false)?;
-        let run = ThreadedRuntime::run_cancellable(
-            graph,
-            factory,
-            config.sim.max_events,
-            config.sim.record_trace,
-            cancel,
-        );
-        let n = graph.node_count();
-        Ok(ExecRun {
-            topology: Arc::clone(graph),
-            nodes: run.nodes,
-            metrics: run.metrics,
-            trace: run.trace,
-            status: run.status,
-            crashed: vec![false; n],
-            workers: n,
-            wall_time: run.wall_time,
-        })
-    }
+    Ok(())
 }
 
 /// The work-stealing pool behind the [`Executor`] surface.
@@ -440,14 +353,13 @@ impl Executor for PoolExecutor {
         P: Protocol,
         F: FnMut(NodeId, &[NodeId]) -> P,
     {
-        validate_concurrent_config(graph, config, self.kind(), true)?;
+        validate_pool_config(config)?;
         let pool_config = PoolConfig {
             workers: config.workers,
             max_events: config.sim.max_events,
             start: config.sim.start.clone(),
             record_trace: config.sim.record_trace,
             batch: config.batch,
-            coalesce: true,
         };
         let run = PoolRuntime::run_with_cancel(graph, factory, &pool_config, cancel)?;
         let n = graph.node_count();
@@ -468,6 +380,7 @@ impl Executor for PoolExecutor {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use crate::sim::StartModel;
     use crate::testutil::flood;
     use mdst_graph::generators;
 
@@ -489,7 +402,10 @@ mod tests {
         }
         let err = "quantum".parse::<ExecutorKind>().unwrap_err();
         assert_eq!(err, UnknownExecutor("quantum".to_string()));
-        assert!(err.to_string().contains("sim, threaded, pool"), "{err}");
+        assert!(err.to_string().contains("sim, pool"), "{err}");
+        for old in ["threaded", "threads", "thread_per_node"] {
+            assert!(old.parse::<ExecutorKind>().is_err(), "{old}");
+        }
     }
 
     #[test]
@@ -508,7 +424,6 @@ mod tests {
             totals.push((run.metrics.messages_total, run.metrics.bits_total));
         }
         assert_eq!(totals[0], totals[1]);
-        assert_eq!(totals[1], totals[2]);
     }
 
     #[test]
@@ -535,11 +450,12 @@ mod tests {
             },
             ..Default::default()
         };
-        for kind in [ExecutorKind::Threaded, ExecutorKind::Pool] {
-            for config in [&delayed, &faulty] {
-                let err = kind.run(&g, flood, config).err().expect("must reject");
-                assert!(matches!(err, SimError::InvalidConfig(_)), "{kind}: {err}");
-            }
+        for config in [&delayed, &faulty] {
+            let err = ExecutorKind::Pool
+                .run(&g, flood, config)
+                .err()
+                .expect("must reject");
+            assert!(matches!(err, SimError::InvalidConfig(_)), "pool: {err}");
         }
         // The simulator itself accepts both.
         for config in [&delayed, &faulty] {
@@ -583,22 +499,32 @@ mod tests {
     }
 
     #[test]
-    fn selected_start_is_pool_but_not_threaded() {
+    fn pool_honors_selected_start_but_not_clocked_ones() {
         let g = Arc::new(generators::path(4).unwrap());
-        let config = ExecConfig {
+        let start = |start| ExecConfig {
             sim: SimConfig {
-                start: StartModel::Selected(vec![NodeId(0)]),
+                start,
                 ..Default::default()
             },
             ..Default::default()
         };
-        let run = ExecutorKind::Pool.run(&g, flood, &config).unwrap();
+        let selected = start(StartModel::Selected(vec![NodeId(0)]));
+        let run = ExecutorKind::Pool.run(&g, flood, &selected).unwrap();
         assert!(run.all_terminated());
-        let err = ExecutorKind::Threaded
-            .run(&g, flood, &config)
-            .err()
-            .expect("threaded wakes every node by construction");
-        assert!(matches!(err, SimError::InvalidConfig(_)));
+        for rejected in [
+            StartModel::Selected(Vec::new()),
+            StartModel::Selected(vec![NodeId(9)]),
+            StartModel::Staggered {
+                max_offset: 3,
+                seed: 1,
+            },
+        ] {
+            let err = ExecutorKind::Pool
+                .run(&g, flood, &start(rejected))
+                .err()
+                .expect("must reject");
+            assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
+        }
     }
 
     #[test]
@@ -644,10 +570,6 @@ mod tests {
             .run(&g, flood, &ExecConfig::default())
             .unwrap();
         assert_eq!(sim.workers, 1);
-        let thr = ExecutorKind::Threaded
-            .run(&g, flood, &ExecConfig::default())
-            .unwrap();
-        assert_eq!(thr.workers, 6);
         let pool = ExecutorKind::Pool
             .run(
                 &g,

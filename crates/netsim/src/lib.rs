@@ -9,7 +9,7 @@
 //! FIFO, the message complexity is the total number of messages exchanged and
 //! the time complexity is the length of the longest causal chain assuming every
 //! hop costs at most one time unit. This crate provides two interchangeable
-//! executions of that model:
+//! executions of that model, plus a step-controlled one for model checking:
 //!
 //! * [`sim::Simulator`] — a deterministic discrete-event simulator with a
 //!   pluggable [`delay::DelayModel`] (unit delays for the paper's time
@@ -17,14 +17,12 @@
 //!   robustness experiments). It measures exactly the quantities the paper's
 //!   analysis talks about: message count per message kind, total encoded bits,
 //!   and the longest causal dependency chain.
-//! * [`threaded::ThreadedRuntime`] — the same [`protocol::Protocol`] state
-//!   machines driven by real OS threads communicating over crossbeam channels,
-//!   demonstrating that the protocol tolerates genuine nondeterministic
+//! * [`pool::PoolRuntime`] — the same [`protocol::Protocol`] state machines
+//!   driven by a work-stealing executor that multiplexes thousands of nodes
+//!   over a fixed pool of OS threads (per-node mailboxes, run queues with
+//!   stealing, quiescence via in-flight counters). With two or more workers
+//!   it shows that the protocol tolerates genuine nondeterministic
 //!   scheduling, not just simulated asynchrony.
-//! * [`pool::PoolRuntime`] — a work-stealing executor multiplexing thousands
-//!   of nodes over a fixed worker pool (per-node mailboxes, run queues with
-//!   stealing, quiescence via in-flight counters), for campaigns far beyond
-//!   what one OS thread per node can reach.
 //! * [`controlled::ControlledNet`] — a step-controlled execution that exposes
 //!   the enabled-event set and applies one externally chosen event at a time,
 //!   the hook the `mdst-check` model checker uses to explore *every* delivery
@@ -33,7 +31,7 @@
 //! Protocols are written once against the [`protocol::Protocol`] trait and run
 //! unchanged on every runtime; the `mdst-spanning` and `mdst-core` crates
 //! provide the actual protocols. The [`exec::Executor`] trait is the uniform
-//! front door: all three backends take a graph, a protocol factory and an
+//! front door: both backends take a graph, a protocol factory and an
 //! [`exec::ExecConfig`] and produce the same [`exec::ExecRun`], so drivers
 //! and campaign runners select a backend per run via [`exec::ExecutorKind`].
 //!
@@ -58,7 +56,6 @@ pub mod protocol;
 pub mod sim;
 #[cfg(test)]
 pub(crate) mod testutil;
-pub mod threaded;
 pub mod trace;
 
 pub use cancel::CancelToken;
@@ -66,7 +63,7 @@ pub use controlled::{ControlledEvent, ControlledNet, NotEnabled, StartDiscipline
 pub use delay::DelayModel;
 pub use exec::{
     ExecConfig, ExecRun, ExecStatus, Executor, ExecutorKind, PoolExecutor, SimExecutor,
-    ThreadedExecutor, UnknownExecutor,
+    UnknownExecutor,
 };
 pub use fault::{CrashAt, CutAt, FaultPlan};
 pub use message::NetMessage;
@@ -74,5 +71,4 @@ pub use metrics::Metrics;
 pub use pool::{PoolConfig, PoolRun, PoolRuntime};
 pub use protocol::{Context, Protocol};
 pub use sim::{SimConfig, SimError, Simulator, StartModel};
-pub use threaded::{ThreadedRun, ThreadedRuntime};
 pub use trace::{KindLabel, TraceEvent, TraceEventKind, TraceRecorder};

@@ -168,9 +168,9 @@ impl Metrics {
             .max_by_key(|&(i, c)| (c, std::cmp::Reverse(i)))
     }
 
-    /// Merges another metrics record into this one (used by the threaded
-    /// runtime to aggregate per-thread counters). Per-node vectors must have
-    /// the same length.
+    /// Merges another metrics record into this one (used by the pool runtime
+    /// to aggregate per-worker counters). Per-node vectors must have the
+    /// same length.
     pub fn merge(&mut self, other: &Metrics) {
         self.messages_total += other.messages_total;
         for (k, v) in &other.messages_by_kind {

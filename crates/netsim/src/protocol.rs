@@ -13,8 +13,8 @@ use mdst_graph::NodeId;
 
 /// The interface a running node uses to interact with the network.
 ///
-/// Implemented by both runtimes (simulator and threaded); protocols never see
-/// which one is driving them.
+/// Implemented by every runtime (simulator, pool, step-controlled net);
+/// protocols never see which one is driving them.
 pub trait Context<M: NetMessage> {
     /// Identity of this node.
     fn id(&self) -> NodeId;

@@ -75,20 +75,19 @@
 //! The optional `executor` axis picks the `mdst_netsim` backend per run:
 //!
 //! ```text
-//! executor = ["sim", "threaded", "pool"]   # default: "sim"
-//! workers = 8                              # pool worker cap (0 / omitted = auto)
+//! executor = ["sim", "pool"]   # default: "sim"
+//! workers = 8                  # pool worker cap (0 / omitted = auto)
 //! ```
 //!
 //! * `sim` — the deterministic discrete-event simulator (full delay/fault
 //!   support, trace recording);
-//! * `threaded` — one OS thread per node over FIFO channels (real
-//!   nondeterministic scheduling);
 //! * `pool` — a fixed work-stealing worker pool multiplexing thousands of
-//!   nodes (the scale backend).
+//!   nodes over real OS threads (nondeterministic scheduling with two or
+//!   more workers; the scale backend).
 //!
-//! The non-sim backends schedule on real threads, so they only combine with
-//! unit delays, simultaneous starts and fault-free plans; the parser rejects
-//! any other combination at load time. The backend label and its measured
+//! The pool schedules on real threads, so it only combines with unit
+//! delays, simultaneous starts and fault-free plans; the parser rejects any
+//! other combination at load time. The backend label and its measured
 //! `exec_wall_ms` appear in every run record, so cross-backend campaigns
 //! double as agreement checks: the improvement protocol is
 //! message-deterministic and every backend must land inside the paper's
@@ -97,9 +96,9 @@
 //! ## Audit axis
 //!
 //! The optional boolean `audit` axis records a message trace on *every*
-//! backend (the simulator stamps simulated time; the threaded and pool
-//! runtimes stamp an atomic global order) and replays it through the
-//! `mdst-analysis` happens-before auditor when the run finishes:
+//! backend (the simulator stamps simulated time; the pool stamps an atomic
+//! global order) and replays it through the `mdst-analysis` happens-before
+//! auditor when the run finishes:
 //!
 //! ```text
 //! audit = true             # or [false, true] to sweep both

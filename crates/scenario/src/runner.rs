@@ -346,7 +346,8 @@ pub struct RunRecord {
     pub start: String,
     /// Fault plan label (`"none"` for fault-free runs).
     pub faults: String,
-    /// Executor backend label (`"sim"`, `"threaded"`, `"pool"`).
+    /// Executor backend label (`"sim"`, `"pool"`). Kept as text, so reports
+    /// carrying a retired label (`"threaded"`) still load and diff.
     pub executor: String,
     /// Drain-batch size swept by the `batch` axis (`0` = backend default;
     /// Null-tolerant so pre-batch reports still deserialize — see
@@ -400,8 +401,7 @@ pub struct RunRecord {
     pub improvements: u32,
     /// Wall-clock milliseconds of the improvement execution alone, as
     /// reported by the backend that ran it (the simulator's event loop, the
-    /// threaded runtime's first-wake-up-to-quiescence span, the pool's
-    /// worker lifetime).
+    /// pool's worker lifetime).
     pub exec_wall_ms: f64,
     /// Wall-clock milliseconds the cost-aware scheduler predicted for this
     /// run before executing it (`0` when the run was not scheduled by a cost

@@ -63,9 +63,9 @@ pub struct ScenarioSpec {
     pub start: Vec<StartSpec>,
     /// Fault plans to sweep (message loss, node crashes, link cuts).
     pub faults: Vec<FaultSpec>,
-    /// Executor backends to sweep (`"sim"`, `"threaded"`, `"pool"`). The
-    /// non-sim backends only combine with unit delays, simultaneous starts
-    /// and benign fault plans; the spec parser rejects anything else.
+    /// Executor backends to sweep (`"sim"`, `"pool"`). The pool only
+    /// combines with unit delays, simultaneous starts and benign fault
+    /// plans; the spec parser rejects anything else.
     pub executor: Vec<ExecutorKind>,
     /// Worker threads for pool-backed runs (`0` = auto).
     pub workers: usize,
@@ -846,26 +846,26 @@ impl ScenarioSpec {
                     .collect::<Result<Vec<_>, _>>()?
             }
         };
-        // The non-sim backends schedule on real threads: no simulated delays,
-        // no staggered clock, no fault injection. Reject the cross product at
+        // The pool schedules on real threads: no simulated delays, no
+        // staggered clock, no fault injection. Reject the cross product at
         // parse time instead of failing runs one by one — the author should
         // split the scenario.
-        if executor.iter().any(|&e| e != ExecutorKind::Sim) {
+        if executor.contains(&ExecutorKind::Pool) {
             if delay.iter().any(|d| !matches!(d, DelaySpec::Unit)) {
                 return spec_err(format!(
-                    "scenario `{name}`: executor `threaded`/`pool` cannot combine with a \
+                    "scenario `{name}`: executor `pool` cannot combine with a \
                      non-unit `delay` axis; split the scenario or drop the delay models"
                 ));
             }
             if start.iter().any(|s| !matches!(s, StartSpec::Simultaneous)) {
                 return spec_err(format!(
-                    "scenario `{name}`: executor `threaded`/`pool` cannot combine with a \
+                    "scenario `{name}`: executor `pool` cannot combine with a \
                      staggered `start` axis; split the scenario"
                 ));
             }
             if faults.iter().any(|f| !f.is_none()) {
                 return spec_err(format!(
-                    "scenario `{name}`: executor `threaded`/`pool` cannot combine with a \
+                    "scenario `{name}`: executor `pool` cannot combine with a \
                      `faults` axis (fault injection needs the simulated clock); split the scenario"
                 ));
             }
@@ -1559,7 +1559,7 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("scenario `x`"), "{msg}");
         assert!(msg.contains("unknown executor `quantum`"), "{msg}");
-        assert!(msg.contains("sim, threaded, pool"), "{msg}");
+        assert!(msg.contains("sim, pool"), "{msg}");
     }
 
     #[test]

@@ -9,9 +9,9 @@ const AUDITED: &str = r#"
     name = "audited"
 
     [[scenario]]
-    name = "tri-backend"
+    name = "both-backends"
     graph = { family = "gnp_connected", n = 16, p = 0.3 }
-    executor = ["sim", "threaded", "pool"]
+    executor = ["sim", "pool"]
     audit = true
     seeds = [3]
 "#;
@@ -20,9 +20,9 @@ const AUDITED: &str = r#"
 fn audited_runs_are_clean_on_every_backend() {
     let matrix = ScenarioMatrix::from_toml_str(AUDITED).unwrap();
     let report = run_campaign(&matrix, &RunnerConfig::default()).unwrap();
-    assert_eq!(report.total.runs, 3);
+    assert_eq!(report.total.runs, 2);
     assert_eq!(report.total.failures, 0);
-    assert_eq!(report.total.audited, 3);
+    assert_eq!(report.total.audited, 2);
     assert_eq!(report.total.audit_violations, 0);
     for run in &report.runs {
         assert!(run.audit);

@@ -101,19 +101,28 @@ fn executor_and_exec_wall_time_appear_in_reports() {
 }
 
 #[test]
-fn threaded_executor_also_sweeps() {
+fn reports_with_a_retired_executor_label_still_load_and_diff() {
+    // Reports written while a thread-per-node backend existed carry
+    // `"executor": "threaded"` records. The label is plain text in a run
+    // record, so such a report must still load and self-diff clean even
+    // though no `ExecutorKind` spells it any more.
     let spec = r#"
         [[scenario]]
-        name = "tri"
-        graph = { family = "star_with_leaf_edges", n = 10 }
-        executor = ["sim", "threaded", "pool"]
+        name = "old"
+        graph = { family = "path", n = 6 }
     "#;
     let matrix = ScenarioMatrix::from_toml_str(spec).unwrap();
     let report = run_campaign(&matrix, &RunnerConfig::default()).unwrap();
-    assert_eq!(report.total.runs, 3);
-    assert_eq!(report.total.failures, 0);
-    let degrees: Vec<usize> = report.runs.iter().map(|r| r.final_degree).collect();
-    assert!(degrees.windows(2).all(|w| w[0] == w[1]), "{degrees:?}");
+    let json = campaign_to_json(&report);
+    let old_json = json.replace(r#""executor": "sim""#, r#""executor": "threaded""#);
+    assert_ne!(old_json, json, "the fixture must carry the retired label");
+    use serde::Deserialize;
+    let old = CampaignReport::from_value(&serde::from_json_str(&old_json).unwrap()).unwrap();
+    assert!(old.runs.iter().all(|r| r.executor == "threaded"));
+    let diff = diff_reports(&old, &old);
+    assert!(diff.is_comparable(), "{}", diff.render());
+    assert!(!diff.has_regressions(), "{}", diff.render());
+    assert_eq!(diff.matched, old.runs.len());
 }
 
 #[test]
@@ -143,19 +152,25 @@ fn executor_axis_rejects_sim_only_combinations() {
         name = "x"
         graph = { family = "path", n = 6 }
         start = { model = "staggered", max_offset = 9 }
-        executor = ["threaded"]
+        executor = ["pool"]
     "#;
     let err = ScenarioMatrix::from_toml_str(bad_start).unwrap_err();
     assert!(err.to_string().contains("start"), "{err}");
 
-    let typo = r#"
-        [[scenario]]
-        name = "x"
-        graph = { family = "path", n = 6 }
-        executor = "quantum"
-    "#;
-    let err = ScenarioMatrix::from_toml_str(typo).unwrap_err();
-    assert!(err.to_string().contains("quantum"), "{err}");
+    // A typo and the retired thread-per-node spelling are both unknown.
+    for name in ["quantum", "threaded"] {
+        let typo = format!(
+            r#"
+            [[scenario]]
+            name = "x"
+            graph = {{ family = "path", n = 6 }}
+            executor = "{name}"
+            "#
+        );
+        let err = ScenarioMatrix::from_toml_str(&typo).unwrap_err();
+        assert!(err.to_string().contains(name), "{err}");
+        assert!(err.to_string().contains("sim, pool"), "{err}");
+    }
 
     // All of those are fine on the sim-only (default) axis.
     let fine = r#"

@@ -1,6 +1,7 @@
 //! End-to-end pipeline tests across topology families and configurations.
 
 use mdst::prelude::*;
+use proptest::prelude::*;
 use std::sync::Arc;
 
 fn families(seed: u64) -> Vec<(&'static str, Arc<Graph>)> {
@@ -168,4 +169,141 @@ fn large_sparse_network_completes_with_reasonable_cost() {
         report.rounds,
         per_round_budget
     );
+}
+
+/// An `Observer` registered through the builder receives at least one
+/// on-round and exactly one on-finish event on **every** executor backend.
+#[test]
+fn observers_fire_on_every_executor_backend() {
+    let graph = Arc::new(generators::star_with_leaf_edges(16).unwrap());
+    for kind in ExecutorKind::all() {
+        let mut counts = CountingObserver::default();
+        let report = Pipeline::on(&graph)
+            .executor(kind)
+            .observer(&mut counts)
+            .run()
+            .unwrap();
+        assert_eq!(report.outcome, Outcome::Optimal, "{kind}");
+        assert_eq!(counts.constructions, 1, "{kind}");
+        assert!(counts.rounds >= 1, "{kind}: no on-round event");
+        assert_eq!(counts.rounds as u32, report.rounds, "{kind}");
+        assert_eq!(counts.exchanges as u32, report.improvements, "{kind}");
+        assert_eq!(counts.finishes, 1, "{kind}: on-finish must fire once");
+    }
+}
+
+/// The original strict pipeline, transcribed as an oracle: build, validate,
+/// run, strict quiesced/terminated checks, collect, validate. `Pipeline::run`
+/// must agree with it run for run — crash plans included, where a node that
+/// crashed *after* receiving `Stop` still lets the strict path collect and
+/// return a tree.
+fn strict_pipeline_oracle(
+    graph: &Arc<Graph>,
+    config: &PipelineConfig,
+) -> Result<(RootedTree, Metrics, u32, u32), GraphError> {
+    let (initial_tree, _construction) = build_initial_tree(graph, config.root, config.initial)?;
+    initial_tree.validate_against(graph)?;
+    let nodes = MdstNode::from_tree(&initial_tree);
+    let run = config
+        .executor
+        .run(
+            graph,
+            |id, _| nodes[id.index()].clone(),
+            &config.exec_config(),
+        )
+        .map_err(|e| GraphError::InvalidParameter(e.to_string()))?;
+    if run.status != ExecStatus::Quiesced {
+        return Err(GraphError::NotASpanningTree(format!(
+            "protocol did not quiesce: event limit of {} exceeded",
+            config.sim.max_events
+        )));
+    }
+    if !run.all_terminated() {
+        return Err(GraphError::NotASpanningTree(
+            "a node never received Stop".to_string(),
+        ));
+    }
+    let final_tree = collect_tree(&run.nodes)?;
+    final_tree.validate_against(graph)?;
+    let rounds = run.nodes.iter().map(|p| p.round()).max().unwrap_or(0);
+    let improvements = run.nodes.iter().map(|p| p.improvements_made()).sum();
+    Ok((final_tree, run.metrics, rounds, improvements))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn pipeline_matches_the_historical_implementation_under_crash_plans(
+        (n, extra, seed, crash_node, crash_at) in
+            (5usize..18, 0usize..20, any::<u64>(), 0u64..18, 0u64..80)
+    ) {
+        let graph =
+            Arc::new(generators::random_connected(n, extra, seed).expect("valid parameters"));
+        let config = PipelineConfig {
+            sim: SimConfig {
+                faults: FaultPlan {
+                    crashes: vec![CrashAt {
+                        node: NodeId::new((crash_node % n as u64) as usize),
+                        at: crash_at,
+                    }],
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let oracle = strict_pipeline_oracle(&graph, &config);
+        let session = Pipeline::on(&graph).config(config).run();
+        match (oracle, session) {
+            (Ok((tree, metrics, rounds, improvements)), Ok(report)) => {
+                prop_assert_eq!(Some(&tree), report.final_tree.as_ref());
+                prop_assert_eq!(&metrics, &report.improvement_metrics);
+                prop_assert_eq!(rounds, report.rounds);
+                prop_assert_eq!(improvements, report.improvements);
+            }
+            // Where the strict path found no tree, the session reports the
+            // run as an outcome without one.
+            (Err(_), Ok(report)) => prop_assert!(
+                report.final_tree.is_none(),
+                "the session collected a tree the strict path rejected"
+            ),
+            (Err(_), Err(_)) => {}
+            (Ok(_), Err(e)) => prop_assert!(
+                false,
+                "the strict path collected a tree but the session failed: {e}"
+            ),
+        }
+    }
+}
+
+/// A crash that fires *after* the node received `Stop` still lets the strict
+/// path collect and return the tree; the session must preserve that
+/// (regression pin for the case the proptest may or may not sample).
+#[test]
+fn post_termination_crashes_still_yield_the_collected_tree() {
+    let graph = Arc::new(generators::random_connected(8, 4, 0).unwrap());
+    let config = PipelineConfig {
+        sim: SimConfig {
+            faults: FaultPlan {
+                crashes: vec![CrashAt {
+                    node: NodeId(0),
+                    at: 29,
+                }],
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let unified = Pipeline::on(&graph).config(config.clone()).run().unwrap();
+    assert_eq!(unified.improvement_metrics.crashed_nodes, 1);
+    assert!(unified.all_terminated, "crash must land after Stop here");
+    let tree = unified
+        .final_tree
+        .as_ref()
+        .expect("a fully terminated snapshot collects even after a late crash");
+    assert!(tree.is_spanning_tree_of(&graph));
+    let (oracle_tree, ..) = strict_pipeline_oracle(&graph, &config).unwrap();
+    assert_eq!(&oracle_tree, tree);
 }

@@ -11,10 +11,9 @@
 //!    Test modules (`#[cfg(test)]`) are exempt; deliberate uses in library
 //!    code (mutex-poisoning propagation, proven-unreachable states) must be
 //!    listed in `xtask/lint-allow.txt` — the allowlist is the audit trail.
-//! 2. **No `allow(deprecated)` outside `tests/api_equivalence.rs`.** The
-//!    deprecated pre-pipeline entry points survive only for the equivalence
-//!    suite; new call sites must use the unified `Pipeline` API. The
-//!    defining module and its re-export shims are allowlisted.
+//! 2. **No `allow(deprecated)` anywhere in the workspace.** A deprecated
+//!    item is either migrated away from or deleted, never silenced; a
+//!    deliberate exception would have to be listed in the allowlist.
 //! 3. **No imports of non-vendored crates.** Every `Cargo.toml` dependency
 //!    must be a workspace crate or one of the offline stand-ins under
 //!    `vendor/`; anything else would need registry access the build
@@ -31,7 +30,6 @@ const VENDORED: &[&str] = &[
     "serde",
     "serde_derive",
     "rand",
-    "crossbeam-channel",
     "proptest",
     "criterion",
     "flate2",
@@ -169,8 +167,7 @@ fn rel(root: &Path, path: &Path) -> String {
 }
 
 /// Lints one source file. `library` enables rule 1 (the forbidden-token
-/// scan); rule 2 (`allow(deprecated)`) applies everywhere except the
-/// equivalence suite.
+/// scan); rule 2 (`allow(deprecated)`) applies to every file.
 fn lint_source(
     root: &Path,
     path: &Path,
@@ -217,15 +214,13 @@ fn lint_source(
         }
     }
 
-    if rel_path != "tests/api_equivalence.rs" {
-        let lines = substring_lines(&masked, "allow(deprecated)");
-        if !lines.is_empty() && !allowed("allow-deprecated") {
-            for line in lines {
-                problems.push(format!(
-                    "{rel_path}:{line}: `allow(deprecated)` outside tests/api_equivalence.rs — \
-                     deprecated entry points are frozen for the equivalence suite only"
-                ));
-            }
+    let lines = substring_lines(&masked, "allow(deprecated)");
+    if !lines.is_empty() && !allowed("allow-deprecated") {
+        for line in lines {
+            problems.push(format!(
+                "{rel_path}:{line}: `allow(deprecated)` — migrate off the deprecated \
+                 item instead of silencing the warning"
+            ));
         }
     }
 }
